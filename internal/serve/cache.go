@@ -3,17 +3,17 @@ package serve
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"capnn/internal/core"
 	"capnn/internal/nn"
 )
 
 // maskEntry is one cached personalization: the per-stage prune masks for
-// a canonical (variant, preference-key) pair, plus the pruning counts
-// for observability. Masks and identity are immutable once published —
-// groups forward under them concurrently without copying; the attached
-// guard carries its own lock.
+// a canonical (variant, preference-key) pair, its compiled network, plus
+// the pruning counts for observability. Every field is written once by
+// Server.newEntry before the entry is published to the cache — groups
+// forward under it concurrently without copying or locking; the
+// attached guard carries its own lock.
 type maskEntry struct {
 	key                     string
 	variant                 core.Variant
@@ -22,15 +22,14 @@ type maskEntry struct {
 	prunedUnits, totalUnits int
 
 	// guard is the entry's runtime ε-guard; nil when guarding is
-	// disabled or the entry was restored without one.
+	// disabled.
 	guard *entryGuard
 
-	// Compiled-inference state (compiler.go): compiled holds the entry's
-	// verified compiled network once compileSt reaches compileReady; the
-	// batcher loads it lock-free per flush and falls back to masked
-	// inference on nil. Never serialized — restore re-enqueues a compile.
-	compiled  atomic.Pointer[nn.Compiled]
-	compileSt atomic.Int32
+	// compiled is the entry's verified compiled network; nil exactly
+	// when compileErr is set, and the batcher then serves the entry by
+	// masked inference. Never serialized — restore and import recompile.
+	compiled   *nn.Compiled
+	compileErr error
 }
 
 // flight is one in-progress personalization. Joiners block on done and
@@ -45,26 +44,25 @@ type flight struct {
 // concurrent first-requests for one key run the fill function exactly
 // once, and the N−1 joiners wait for it. A failed fill is never cached —
 // the flight's error fans out to its joiners and the next request for
-// that key personalizes again.
+// that key personalizes again. Whole entries are evicted coldest first
+// whenever either the entry cap or the compiled-byte budget is exceeded.
 type maskCache struct {
-	cap int
-	st  *stats
+	cap    int
+	budget int64 // compiled-weight bytes across entries; <= 0 is unlimited
+	st     *stats
 
-	// onDrop, when set (before serving starts), observes every entry
-	// leaving the cache — LRU eviction or install replacement — so the
-	// compiler can release its compiled form. Called under mu; the hook
-	// must only touch the entry's atomics.
-	onDrop func(*maskEntry)
-
-	mu      sync.Mutex
-	lru     *list.List               // front = most recent; values are *maskEntry
-	entries map[string]*list.Element // key → lru element
-	flights map[string]*flight
+	mu       sync.Mutex
+	lru      *list.List               // front = most recent; values are *maskEntry
+	entries  map[string]*list.Element // key → lru element
+	flights  map[string]*flight
+	bytes    int64 // resident entries' compiled-weight bytes
+	compiled int   // resident entries holding a compiled network
 }
 
-func newMaskCache(capacity int, st *stats) *maskCache {
+func newMaskCache(capacity int, budget int64, st *stats) *maskCache {
 	return &maskCache{
 		cap:     capacity,
+		budget:  budget,
 		st:      st,
 		lru:     list.New(),
 		entries: map[string]*list.Element{},
@@ -77,6 +75,14 @@ func (c *maskCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Len()
+}
+
+// compiledUsage reports the resident entries holding a compiled network
+// and their compiled-weight bytes.
+func (c *maskCache) compiledUsage() (entries int, bytes int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.compiled, c.bytes
 }
 
 // get returns the cached entry for key, or fills it. The bool reports a
@@ -112,8 +118,7 @@ func (c *maskCache) get(key string, fill func() (*maskEntry, error)) (*maskEntry
 	if f.err == nil {
 		// While our flight was registered no other fill could run for
 		// this key, so a plain insert cannot clobber a fresher entry.
-		c.entries[key] = c.lru.PushFront(f.entry)
-		c.evictOverCapLocked()
+		c.insertLocked(f.entry)
 	}
 	c.mu.Unlock()
 	close(f.done)
@@ -127,15 +132,14 @@ func (c *maskCache) install(e *maskEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[e.key]; ok {
-		if old := el.Value.(*maskEntry); old != e && c.onDrop != nil {
-			c.onDrop(old)
-		}
+		c.account(el.Value.(*maskEntry), -1)
+		c.account(e, +1)
 		el.Value = e
 		c.lru.MoveToFront(el)
+		c.evictLocked()
 		return
 	}
-	c.entries[e.key] = c.lru.PushFront(e)
-	c.evictOverCapLocked()
+	c.insertLocked(e)
 }
 
 // installIfAbsent inserts an entry only when its key is not already
@@ -148,21 +152,37 @@ func (c *maskCache) installIfAbsent(e *maskEntry) bool {
 	if _, ok := c.entries[e.key]; ok {
 		return false
 	}
-	c.entries[e.key] = c.lru.PushFront(e)
-	c.evictOverCapLocked()
+	c.insertLocked(e)
 	return true
 }
 
-// evictOverCapLocked trims the LRU tail past capacity. Caller holds mu.
-func (c *maskCache) evictOverCapLocked() {
-	for c.lru.Len() > c.cap {
+// insertLocked adds a new key at the front and trims. Caller holds mu.
+func (c *maskCache) insertLocked(e *maskEntry) {
+	c.entries[e.key] = c.lru.PushFront(e)
+	c.account(e, +1)
+	c.evictLocked()
+}
+
+// account adds (sign +1) or removes (sign -1) an entry's compiled form
+// from the resident totals. Caller holds mu.
+func (c *maskCache) account(e *maskEntry, sign int) {
+	if e.compiled != nil {
+		c.compiled += sign
+		c.bytes += int64(sign) * e.compiled.Bytes()
+	}
+}
+
+// evictLocked drops LRU-tail entries while the cache is over its entry
+// cap or its compiled-byte budget. The front entry — the one just
+// inserted or refreshed — is never evicted, so a single entry larger
+// than the whole budget stays resident alone. Caller holds mu.
+func (c *maskCache) evictLocked() {
+	for c.lru.Len() > 1 && (c.lru.Len() > c.cap || (c.budget > 0 && c.bytes > c.budget)) {
 		tail := c.lru.Back()
 		c.lru.Remove(tail)
 		dropped := tail.Value.(*maskEntry)
 		delete(c.entries, dropped.key)
-		if c.onDrop != nil {
-			c.onDrop(dropped)
-		}
+		c.account(dropped, -1)
 		c.st.evicted()
 	}
 }

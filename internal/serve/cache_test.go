@@ -18,7 +18,7 @@ func entryFor(key string) *maskEntry {
 // a hit refreshed.
 func TestCacheEvictionUnderPressure(t *testing.T) {
 	st := newStats()
-	c := newMaskCache(2, st)
+	c := newMaskCache(2, 0, st)
 	fills := map[string]int{}
 	fill := func(key string) func() (*maskEntry, error) {
 		return func() (*maskEntry, error) {
@@ -58,7 +58,7 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 // the flight's joiners, and the next request runs the fill again.
 func TestFailedFillNotCached(t *testing.T) {
 	st := newStats()
-	c := newMaskCache(4, st)
+	c := newMaskCache(4, 0, st)
 	boom := errors.New("prune exploded")
 	calls := 0
 	_, _, err := c.get("k", func() (*maskEntry, error) { calls++; return nil, boom })
@@ -85,7 +85,7 @@ func TestFailedFillNotCached(t *testing.T) {
 // one fill; the joiners receive its entry (or its error).
 func TestCacheSingleflight(t *testing.T) {
 	st := newStats()
-	c := newMaskCache(4, st)
+	c := newMaskCache(4, 0, st)
 	var fills atomic.Int64
 	gate := make(chan struct{})
 	const n = 8
@@ -123,7 +123,7 @@ func TestCacheSingleflight(t *testing.T) {
 
 // Distinct keys never share a flight.
 func TestCacheDistinctKeysFillIndependently(t *testing.T) {
-	c := newMaskCache(8, newStats())
+	c := newMaskCache(8, 0, newStats())
 	for i := 0; i < 4; i++ {
 		key := fmt.Sprintf("k%d", i)
 		e, hit, err := c.get(key, func() (*maskEntry, error) { return entryFor(key), nil })

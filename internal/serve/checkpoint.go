@@ -26,26 +26,15 @@ func (s *Server) SaveState(txn *store.Txn) error {
 	// handoff streams (handoff.go): guard windows are runtime state and
 	// deliberately absent — after a restart the traffic mix must be
 	// re-observed before any trip decision.
-	entries := s.cache.snapshot()
-	cms := make([]CachedMask, 0, len(entries))
-	for _, e := range entries {
-		cms = append(cms, CachedMask{
-			Key:         e.key,
-			Variant:     string(e.variant),
-			Classes:     e.prefs.Classes,
-			Weights:     e.prefs.Weights,
-			Masks:       e.masks,
-			PrunedUnits: e.prunedUnits,
-			TotalUnits:  e.totalUnits,
-		})
-	}
-	return txn.PutGob(store.ArtifactMaskCache, cms)
+	return txn.PutGob(store.ArtifactMaskCache, s.cachedMasks())
 }
 
 // RestoreState re-installs a checkpointed mask cache from a verified
 // generation, so a restarted server answers its first requests from
-// warm masks instead of re-running every personalization. Entries get
-// fresh guards (empty windows). Call before serving traffic. The model
+// warm masks instead of re-running every personalization. Entries are
+// validated and recompiled (compiled networks are never serialized) and
+// get fresh guards (empty windows); a malformed entry fails the restore.
+// Call before serving traffic. The model
 // and rates artifacts are loaded by the caller when constructing the
 // core.System — restoring them into a live system would race serving.
 func (s *Server) RestoreState(g *store.Generation) (int, error) {
@@ -64,10 +53,6 @@ func (s *Server) RestoreState(g *store.Generation) (int, error) {
 			return restored, fmt.Errorf("serve: restore: %w", err)
 		}
 		s.cache.install(e)
-		// Compiled networks are never serialized (cachedMask carries only
-		// masks); restored entries recompile asynchronously and serve
-		// masked until their plan is ready.
-		s.compiler.enqueue(e)
 		restored++
 	}
 	s.st.noteCheckpoint(g.Number)

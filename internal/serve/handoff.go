@@ -16,9 +16,9 @@ import (
 // key range, and imports it into the incoming owner (OpCacheImport)
 // before the ring epoch flips. CachedMask is the transferable form —
 // the same shape checkpoints persist: masks travel, compiled networks
-// never do (the importer re-enqueues compilation), and guard windows
-// start fresh (the new owner must observe its own traffic mix before
-// any trip decision).
+// never do (the importer recompiles each entry before installing it),
+// and guard windows start fresh (the new owner must observe its own
+// traffic mix before any trip decision).
 
 // CachedMask is one mask-cache entry in durable/transferable form:
 // enough to rebuild the entry (and a fresh guard) on restore or import.
@@ -33,37 +33,39 @@ type CachedMask struct {
 }
 
 // entryFromCached rebuilds a live cache entry from its transferable
-// form, with a fresh guard when guarding is enabled.
+// form. The form arrives from outside the process (a handoff payload or
+// a checkpoint), so it is validated against this server's network first:
+// preferences must name known classes and every mask must index a unit
+// layer and match its width. A malformed entry is refused with
+// CodeBadRequest rather than cached to fail every later request.
 func (s *Server) entryFromCached(cm CachedMask) (*maskEntry, error) {
+	bad := func(err error) error {
+		return &Error{Code: cloud.CodeBadRequest, Err: fmt.Errorf("entry %q: %w", cm.Key, err)}
+	}
 	prefs, err := core.Weighted(cm.Classes, cm.Weights)
 	if err != nil {
-		return nil, fmt.Errorf("serve: entry %q: %w", cm.Key, err)
+		return nil, bad(err)
 	}
 	prefs.Normalize()
-	e := &maskEntry{
-		key:         cm.Key,
-		variant:     core.Variant(cm.Variant),
-		prefs:       prefs,
-		masks:       cm.Masks,
-		prunedUnits: cm.PrunedUnits,
-		totalUnits:  cm.TotalUnits,
+	if err := prefs.Validate(s.sys.Rates.Classes); err != nil {
+		return nil, bad(err)
 	}
-	if !s.cfg.DisableGuard {
-		guard, err := newEntryGuard(prefs, s.sys.Rates.Classes, s.sys.Params.Epsilon,
-			s.cfg.GuardSlack, s.cfg.GuardWindow, s.cfg.GuardMinObs, s.cfg.GuardSampleEvery,
-			s.skewThreshold(), s.cfg.SkewMinObs)
-		if err != nil {
-			return nil, fmt.Errorf("serve: entry %q: %w", cm.Key, err)
+	stages := s.sys.Net.Stages()
+	for idx, m := range cm.Masks {
+		if idx < 0 || idx >= len(stages) {
+			return nil, bad(fmt.Errorf("mask for unit layer %d, network has %d", idx, len(stages)))
 		}
-		e.guard = guard
+		if want := stages[idx].Unit.Units(); m != nil && len(m) != want {
+			return nil, bad(fmt.Errorf("unit layer %d mask has %d entries, want %d", idx, len(m), want))
+		}
 	}
-	return e, nil
+	return s.newEntry(cm.Key, core.Variant(cm.Variant), prefs, cm.Masks)
 }
 
-// ExportMasks snapshots the resident mask cache in transferable form,
-// least recently used first (so an importer that re-installs in order
-// reproduces the recency).
-func (s *Server) ExportMasks() []CachedMask {
+// cachedMasks snapshots the resident mask cache in transferable form,
+// least recently used first (so re-installing in order reproduces the
+// recency) — the shape both checkpoints and handoff exports carry.
+func (s *Server) cachedMasks() []CachedMask {
 	entries := s.cache.snapshot()
 	cms := make([]CachedMask, 0, len(entries))
 	for _, e := range entries {
@@ -77,6 +79,12 @@ func (s *Server) ExportMasks() []CachedMask {
 			TotalUnits:  e.totalUnits,
 		})
 	}
+	return cms
+}
+
+// ExportMasks snapshots the resident mask cache for a warm handoff.
+func (s *Server) ExportMasks() []CachedMask {
+	cms := s.cachedMasks()
 	s.st.handoffExported(len(cms))
 	return cms
 }
@@ -84,10 +92,9 @@ func (s *Server) ExportMasks() []CachedMask {
 // ImportMasks installs transferred entries into the cache and returns
 // how many were installed. Keys the cache already holds are kept — the
 // resident entry may be fresher (a heal published against observed
-// traffic) than the mover's copy. Imported entries recompile
-// asynchronously and serve masked until their plan is ready. A malformed
-// entry aborts the import with an error; entries installed before it
-// stay installed.
+// traffic) than the mover's copy. Each entry is compiled before it is
+// installed. A malformed entry aborts the import with a CodeBadRequest
+// *Error; entries installed before it stay installed.
 func (s *Server) ImportMasks(cms []CachedMask) (int, error) {
 	imported := 0
 	for _, cm := range cms {
@@ -95,11 +102,9 @@ func (s *Server) ImportMasks(cms []CachedMask) (int, error) {
 		if err != nil {
 			return imported, err
 		}
-		if !s.cache.installIfAbsent(e) {
-			continue
+		if s.cache.installIfAbsent(e) {
+			imported++
 		}
-		s.compiler.enqueue(e)
-		imported++
 	}
 	if imported > 0 {
 		s.st.handoffImported(imported)
@@ -131,7 +136,11 @@ func (s *Server) handleCacheImport(req WireRequest) *WireResponse {
 	}
 	n, err := s.ImportMasks(cms)
 	if err != nil {
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeInternal,
+		code := cloud.CodeInternal
+		if te, ok := err.(*Error); ok {
+			code = te.Code
+		}
+		return &WireResponse{Version: cloud.ProtocolVersion, Code: code,
 			Err: fmt.Sprintf("import after %d entries: %v", n, err), Batch: n}
 	}
 	return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Batch: n}

@@ -1,11 +1,16 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"math"
 	"testing"
 	"time"
 
+	"capnn/internal/cloud"
 	"capnn/internal/core"
+	"capnn/internal/store"
 )
 
 // TestHandoffExportImportRoundTrip: a warm cache exported from one
@@ -89,4 +94,93 @@ func mustWeighted(t *testing.T, classes []int, weights []float64) core.Preferenc
 		t.Fatal(err)
 	}
 	return p
+}
+
+// Masks arriving from outside the process — a handoff payload or a
+// checkpoint — must match the network's unit layers. A short or
+// over-long mask would fail the compile and then panic every masked
+// request for its key; instead it is refused before it reaches the
+// cache: ImportMasks (and the wire op) answer CodeBadRequest and
+// RestoreState errors, and the key personalizes normally afterwards.
+func TestMalformedMasksRefused(t *testing.T) {
+	f := getFixture(t)
+	units := f.sys.Net.Stages()[0].Unit.Units()
+	prefs := core.Uniform([]int{0, 1})
+	key := string(core.VariantW) + "/" + prefs.Key()
+	malformed := func(n int) []CachedMask {
+		return []CachedMask{{Key: key, Variant: string(core.VariantW), Classes: prefs.Classes,
+			Weights: prefs.Weights, Masks: map[int][]bool{0: make([]bool, n)}}}
+	}
+	requireBadRequest := func(t *testing.T, err error) {
+		t.Helper()
+		var se *Error
+		if !errors.As(err, &se) || se.Code != cloud.CodeBadRequest {
+			t.Fatalf("error %v, want a CodeBadRequest *Error", err)
+		}
+	}
+	paths := []struct {
+		name   string
+		refuse func(t *testing.T, srv *Server, cms []CachedMask)
+	}{
+		{"import", func(t *testing.T, srv *Server, cms []CachedMask) {
+			n, err := srv.ImportMasks(cms)
+			requireBadRequest(t, err)
+			if n != 0 {
+				t.Fatalf("imported %d entries, want 0", n)
+			}
+		}},
+		{"wire-import", func(t *testing.T, srv *Server, cms []CachedMask) {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(cms); err != nil {
+				t.Fatal(err)
+			}
+			if resp := srv.handleCacheImport(WireRequest{Payload: buf.Bytes()}); resp.Code != cloud.CodeBadRequest {
+				t.Fatalf("wire import code %s (%s), want bad-request", resp.Code, resp.Err)
+			}
+		}},
+		{"restore", func(t *testing.T, srv *Server, cms []CachedMask) {
+			st, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			txn, err := st.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.PutGob(store.ArtifactMaskCache, cms); err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			gen, err := st.Latest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := srv.RestoreState(gen)
+			requireBadRequest(t, err)
+			if n != 0 {
+				t.Fatalf("restored %d entries, want 0", n)
+			}
+		}},
+	}
+	masks := []struct {
+		name string
+		n    int
+	}{{"short", units - 1}, {"over-long", units + 1}}
+	for _, p := range paths {
+		for _, m := range masks {
+			t.Run(p.name+"/"+m.name, func(t *testing.T) {
+				srv := NewServerWith(f.sys, compiledConfig())
+				defer srv.Close()
+				p.refuse(t, srv, malformed(m.n))
+				if st := srv.Stats(); st.CacheEntries != 0 || st.Compiles != 0 {
+					t.Fatalf("refused entry reached the cache: entries=%d compiles=%d", st.CacheEntries, st.Compiles)
+				}
+				if res, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, 0)); err != nil || res.CacheHit {
+					t.Fatalf("key after refusal: hit=%v err=%v, want a fresh personalization", res.CacheHit, err)
+				}
+			})
+		}
+	}
 }

@@ -10,9 +10,12 @@
 //     preference vector pay for personalization once (singleflight: N
 //     concurrent first-requests run one System.Prune), and
 //   - a dynamic micro-batcher groups queued requests by mask key and
-//     executes one batched masked forward per group (nn.Network.Infer,
+//     executes one batched forward per group on the entry's compiled
+//     network (nn.Compile, run once when the entry is built, before it
+//     enters the cache). An entry whose compile failed is served by
+//     masked inference on the shared base weights (nn.Network.Infer,
 //     which takes the mask as an argument precisely so concurrent
-//     groups can share the base weights without racing).
+//     groups never race).
 //
 // Admission control follows internal/cloud: bounded in-flight work,
 // typed busy shedding (cloud.Code), read/write deadlines on the wire,
@@ -29,6 +32,7 @@ import (
 	"capnn/internal/cloud"
 	"capnn/internal/core"
 	"capnn/internal/metrics"
+	"capnn/internal/nn"
 	"capnn/internal/qos"
 	"capnn/internal/tensor"
 )
@@ -73,14 +77,10 @@ type Config struct {
 	ReadTimeout, WriteTimeout time.Duration
 	MaxRequestBytes           int64
 
-	// DisableCompile turns compiled inference off: every personalized
-	// group is served by masked inference on the base network, as before
-	// the compiled pipeline existed.
-	DisableCompile bool
 	// CompiledBudgetBytes bounds the resident compiled-weight memory
-	// across cache entries; past it, compiled forms are evicted coldest
-	// first (the masks stay cached and serve masked until re-compiled on
-	// demand). Zero takes the default 512 MiB; negative is unlimited.
+	// across cache entries; past it, whole entries are evicted coldest
+	// first (the entry just inserted always stays). Zero takes the
+	// default 512 MiB; negative is unlimited.
 	CompiledBudgetBytes int64
 
 	// DisableGuard turns the runtime ε-guard off entirely (no shadow
@@ -297,14 +297,10 @@ type Server struct {
 	cache  *maskCache
 	batch  *batcher
 
-	// compiler is the async compiled-inference worker; nil when
-	// DisableCompile is set (all its methods are nil-safe no-ops).
-	compiler *compiler
-
 	// personalizeMu serializes System.Prune runs: the pruning algorithms
 	// share the system's suffix evaluator and mutate masks on the shared
-	// network while measuring candidates. Inference (mask-as-argument
-	// Infer) runs concurrently with this by design.
+	// network while measuring candidates. Inference and nn.Compile
+	// (both mask-as-argument) run concurrently with this by design.
 	personalizeMu sync.Mutex
 
 	// breaker guards the repersonalization path taken by ε-guard heals.
@@ -365,7 +361,7 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 		st:      st,
 		reg:     reg,
 		events:  events,
-		cache:   newMaskCache(cfg.CacheCap, st),
+		cache:   newMaskCache(cfg.CacheCap, cfg.CompiledBudgetBytes, st),
 		batch:   newBatcher(sys.Net, cfg.MaxBatch, cfg.MaxWait, cfg.MaxQueue, bulkMax, cfg.Workers, cfg.EDFSlack, st),
 		breaker: newBreaker(cfg.BreakerFailureRate, cfg.BreakerWindow, cfg.BreakerMinSamples, cfg.BreakerCooldown),
 		drainCh: make(chan struct{}),
@@ -373,17 +369,13 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 	if !cfg.DisableProactive {
 		s.proactive = newProactiveGate(cfg.ProactiveInterval)
 	}
-	if !cfg.DisableCompile {
-		s.compiler = newCompiler(sys.Net, s.cache, st, cfg.CompiledBudgetBytes)
-		// Entries leaving the cache (LRU eviction, heal replacement)
-		// release their compiled form's memory accounting.
-		s.cache.onDrop = s.compiler.release
-	}
-	reg.GaugeFunc("capnn_serve_compiled_bytes", "Approximate resident compiled-weight bytes.", func() float64 {
-		return float64(s.compiler.resident())
+	reg.GaugeFunc("capnn_serve_compiled_bytes", "Resident compiled-weight bytes across cache entries.", func() float64 {
+		_, bytes := s.cache.compiledUsage()
+		return float64(bytes)
 	})
-	reg.GaugeFunc("capnn_serve_compiled_entries", "Cache entries with a resident compiled network.", func() float64 {
-		return float64(s.compiler.readyEntries())
+	reg.GaugeFunc("capnn_serve_compiled_entries", "Cache entries with a compiled network.", func() float64 {
+		n, _ := s.cache.compiledUsage()
+		return float64(n)
 	})
 	// Breaker transitions become structured events; the counters come
 	// from the breaker's own snapshot below — one source, two surfaces.
@@ -471,8 +463,7 @@ func (s *Server) ringUpdateFn() func(RingUpdate) error {
 func (s *Server) Stats() Stats {
 	out := s.st.snapshot(s.cache.len(), s.batch.depth())
 	out.BreakerState, out.BreakerOpens, out.BreakerCloses, out.BreakerHalfOpens = s.breaker.snapshot()
-	out.CompiledBytes = s.compiler.resident()
-	out.CompiledEntries = s.compiler.readyEntries()
+	out.CompiledEntries, out.CompiledBytes = s.cache.compiledUsage()
 	return out
 }
 
@@ -570,20 +561,15 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 	// network: always after a trip (fallback), and periodically as a
 	// shadow sample whose prediction feeds the drift window. Unpruned
 	// traffic shares one batch group regardless of which entry sent it.
-	if hit {
-		// Demand path: a hot entry whose compiled form was budget-evicted
-		// (or whose first enqueue hit a full queue) gets re-queued.
-		s.compiler.ensure(entry)
-	}
-	gkey, masks, reqEntry := entry.key, entry.masks, entry
+	gkey, reqEntry := entry.key, entry
 	unpruned, fallback := entry.guard.admit()
 	if unpruned {
-		gkey, masks, reqEntry = unprunedKey, nil, nil
+		gkey, reqEntry = unprunedKey, nil
 		if fallback {
 			s.st.fallbackServed()
 		}
 	}
-	req := &request{gkey: gkey, masks: masks, entry: reqEntry, x: x, enqueued: time.Now(),
+	req := &request{gkey: gkey, entry: reqEntry, x: x, enqueued: time.Now(),
 		deadline: effDeadline, lane: q.Lane, done: make(chan outcome, 1)}
 	if err := s.batch.submit(req); err != nil {
 		return Result{}, err.(*Error)
@@ -637,27 +623,50 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 	}
 }
 
-// personalize is the cache fill: one System.Prune run under the
-// personalization lock. A panic inside the pruning algorithms is
-// recovered into a typed internal error — and not cached.
-func (s *Server) personalize(v core.Variant, prefs core.Preferences, key string) (entry *maskEntry, err error) {
+// personalize is the cache fill and the heal's repersonalization: one
+// System.Prune run, then the entry build. Only the Prune holds the
+// personalization lock — the compile in newEntry reads the masks as an
+// argument, so concurrent fills never queue behind it.
+func (s *Server) personalize(v core.Variant, prefs core.Preferences, key string) (*maskEntry, error) {
+	masks, err := s.prune(v, prefs)
+	if err != nil {
+		return nil, err
+	}
+	return s.newEntry(key, v, prefs, masks)
+}
+
+// prune runs System.Prune under the personalization lock. A panic inside
+// the pruning algorithms is recovered into a typed internal error — and
+// not cached.
+func (s *Server) prune(v core.Variant, prefs core.Preferences) (masks map[int][]bool, err error) {
 	s.personalizeMu.Lock()
 	defer s.personalizeMu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
 			s.sys.Net.ClearPruning() // never leave a half-installed mask behind
-			entry, err = nil, &Error{Code: cloud.CodeInternal, Err: fmt.Errorf("personalize: %v", r)}
+			masks, err = nil, &Error{Code: cloud.CodeInternal, Err: fmt.Errorf("personalize: %v", r)}
 		}
 	}()
 	if s.hookPersonalize != nil {
 		s.hookPersonalize(prefs)
 	}
 	start := time.Now()
-	masks, perr := s.sys.Prune(v, prefs)
-	if perr != nil {
-		return nil, &Error{Code: cloud.CodeInternal, Err: perr}
+	masks, err = s.sys.Prune(v, prefs)
+	if err != nil {
+		return nil, &Error{Code: cloud.CodeInternal, Err: err}
 	}
 	s.st.personalized(time.Since(start))
+	return masks, nil
+}
+
+// newEntry is the only constructor of cache entries — fills, heals,
+// checkpoint restores and handoff imports all build through it. It
+// counts the pruned units, attaches a fresh ε-guard, and compiles the
+// masks, so no entry is ever visible in the cache without its compiled
+// network or a recorded compile error. A failed compile (nn.Compile
+// refuses, e.g., a mask emptying a whole layer) is permanent for the
+// entry: it serves by masked inference, which is always correct.
+func (s *Server) newEntry(key string, v core.Variant, prefs core.Preferences, masks map[int][]bool) (*maskEntry, error) {
 	e := &maskEntry{key: key, variant: v, prefs: prefs, masks: masks}
 	for _, m := range masks {
 		for _, p := range m {
@@ -668,26 +677,29 @@ func (s *Server) personalize(v core.Variant, prefs core.Preferences, key string)
 		}
 	}
 	if !s.cfg.DisableGuard {
-		g, gerr := newEntryGuard(prefs, s.sys.Rates.Classes, s.sys.Params.Epsilon,
+		g, err := newEntryGuard(prefs, s.sys.Rates.Classes, s.sys.Params.Epsilon,
 			s.cfg.GuardSlack, s.cfg.GuardWindow, s.cfg.GuardMinObs, s.cfg.GuardSampleEvery,
 			s.skewThreshold(), s.cfg.SkewMinObs)
-		if gerr != nil {
-			return nil, &Error{Code: cloud.CodeInternal, Err: gerr}
+		if err != nil {
+			return nil, &Error{Code: cloud.CodeInternal, Err: fmt.Errorf("entry %q: %w", key, err)}
 		}
 		e.guard = g
 	}
-	// Queue the compile off the request path: first requests serve masked
-	// while the worker compacts. Covers fresh fills and heals alike.
-	s.compiler.enqueue(e)
+	start := time.Now()
+	e.compiled, e.compileErr = nn.Compile(s.sys.Net, masks)
+	s.st.compiled(time.Since(start), e.compileErr)
+	if e.compileErr != nil {
+		s.events.Record("compile-failed", key, e.compileErr.Error(), nil)
+	}
 	return e, nil
 }
 
-// CompileWait blocks until every queued compile has finished (ready or
-// failed) or the timeout passes — for tests and benchmarks that need
-// deterministic compiled dispatch. A no-op when compilation is disabled.
-func (s *Server) CompileWait(timeout time.Duration) error {
-	return s.compiler.wait(timeout)
-}
+// CompileWait returns nil at once: entries are compiled before they
+// enter the cache, so no compile is ever pending.
+//
+// Deprecated: kept only so existing callers still build; it has nothing
+// to wait for.
+func (s *Server) CompileWait(time.Duration) error { return nil }
 
 // skewThreshold is the value guards are built with: the configured
 // threshold, or 0 (detector off) when proactive repersonalization is
@@ -822,7 +834,6 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	// Flush whatever is still queued and stop the workers: admitted
 	// requests are answered even on a blown deadline.
 	s.batch.close()
-	s.compiler.close()
 	if drainErr != nil {
 		return drainErr
 	}

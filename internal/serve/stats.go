@@ -44,7 +44,7 @@ type Stats struct {
 	// Per-stage cumulative latencies with their sample counts:
 	// Personalize covers System.Prune runs (cache misses only),
 	// QueueWait covers submit→flush per request, Forward covers the
-	// batched masked forward per group. The totals are derived from the
+	// batched forward (compiled or masked) per group. The totals are derived from the
 	// registry's per-stage histograms (integer nanoseconds accumulate
 	// exactly in a float64 sum), so this snapshot and a /metrics scrape
 	// report the same numbers.
@@ -58,16 +58,15 @@ type Stats struct {
 	QueueWaitP99                       time.Duration
 	ForwardP50, ForwardP95, ForwardP99 time.Duration
 
-	// Compiled inference: Compiles counts finished compile attempts and
-	// CompileErrors the failed subset; CompiledDispatched / MaskedFallback
-	// count personalized requests served on a compiled network vs the
-	// masked base network (unpruned guard traffic counts under neither);
-	// CompiledEvictions counts compiled forms dropped by the byte budget
-	// (masks stay cached). CompiledBytes / CompiledEntries are the
-	// instantaneous resident compiled-weight bytes and entry count.
+	// Compiled inference: Compiles counts compile attempts (one per
+	// entry built) and CompileErrors the failed subset; CompiledDispatched
+	// / MaskedFallback count personalized requests served on a compiled
+	// network vs by masked inference because their entry's compile failed
+	// (unpruned guard traffic counts under neither). CompiledBytes /
+	// CompiledEntries are the instantaneous resident compiled-weight bytes
+	// and entry count.
 	Compiles, CompileErrors            uint64
 	CompiledDispatched, MaskedFallback uint64
-	CompiledEvictions                  uint64
 	CompileNs                          int64
 	CompiledBytes                      int64
 	CompiledEntries                    int
@@ -160,8 +159,8 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "batches=%d mean-batch=%.2f histogram=%s\n", s.Batches, s.MeanBatch(), s.histogram())
 	fmt.Fprintf(&b, "latency: personalize=%v queue-wait=%v forward=%v forward-p99=%v\n",
 		s.MeanPersonalize(), s.MeanQueueWait(), s.MeanForward(), s.ForwardP99.Round(time.Microsecond))
-	fmt.Fprintf(&b, "compile: runs=%d errors=%d dispatched=%d masked-fallback=%d evictions=%d resident=%dB/%d entries\n",
-		s.Compiles, s.CompileErrors, s.CompiledDispatched, s.MaskedFallback, s.CompiledEvictions, s.CompiledBytes, s.CompiledEntries)
+	fmt.Fprintf(&b, "compile: runs=%d errors=%d dispatched=%d masked-fallback=%d resident=%dB/%d entries\n",
+		s.Compiles, s.CompileErrors, s.CompiledDispatched, s.MaskedFallback, s.CompiledBytes, s.CompiledEntries)
 	fmt.Fprintf(&b, "guard: trips=%d fallback-served=%d heals=%d (skew=%d guard-trip=%d) heal-failures=%d\n",
 		s.GuardTrips, s.FallbackServed, s.Heals, s.RepersonalizeSkew, s.RepersonalizeGuardTrip, s.HealFailures)
 	fmt.Fprintf(&b, "proactive: skew-detected=%d suppressed=%d\n", s.SkewDetected, s.ProactiveSuppressed)
@@ -236,7 +235,6 @@ type stats struct {
 	compileC, compileErrC        *metrics.Counter
 	compileH                     *metrics.Histogram
 	compDispC, maskFbC           *metrics.Counter
-	compEvictC                   *metrics.Counter
 
 	mu                sync.Mutex
 	batchSizes        map[int]uint64 // exact flushed-size histogram (buckets would lose sizes)
@@ -264,11 +262,11 @@ func newStatsOn(reg *metrics.Registry, events *metrics.EventLog) *stats {
 		hitC:    reg.Counter("capnn_serve_cache_hits_total", "Mask-cache hits."),
 		missC:   reg.Counter("capnn_serve_cache_misses_total", "Mask-cache misses (each runs a personalization)."),
 		sharedC: reg.Counter("capnn_serve_singleflight_shared_total", "Lookups that joined an in-flight personalization."),
-		evictC:  reg.Counter("capnn_serve_cache_evictions_total", "Mask-cache LRU evictions."),
+		evictC:  reg.Counter("capnn_serve_cache_evictions_total", "Mask-cache LRU evictions (entry cap or compiled-byte budget)."),
 		batchH:  reg.Histogram("capnn_serve_batch_size", "Flushed micro-batch group sizes.", metrics.BatchSizeBuckets()),
 		persH:   reg.Histogram("capnn_serve_personalize_latency_ns", "System.Prune latency per cache fill.", metrics.LatencyBucketsNs()),
 		waitH:   reg.Histogram("capnn_serve_queue_wait_ns", "Per-request submit-to-flush queue wait.", metrics.LatencyBucketsNs()),
-		fwdH:    reg.Histogram("capnn_serve_forward_latency_ns", "Batched masked forward latency per group flush.", metrics.LatencyBucketsNs()),
+		fwdH:    reg.Histogram("capnn_serve_forward_latency_ns", "Batched forward latency (compiled or masked) per group flush.", metrics.LatencyBucketsNs()),
 
 		guardC:      reg.Counter("capnn_serve_guard_trips_total", "Epsilon-guard trips (one per tripped entry)."),
 		fallbackC:   reg.Counter("capnn_serve_fallback_served_total", "Requests served through the unpruned network after a trip."),
@@ -282,12 +280,11 @@ func newStatsOn(reg *metrics.Registry, events *metrics.EventLog) *stats {
 		handoffExpC: reg.Counter("capnn_serve_handoff_exported_total", "Cache entries streamed out by handoff export snapshots."),
 		handoffImpC: reg.Counter("capnn_serve_handoff_imported_total", "Warm cache entries installed by handoff imports."),
 
-		compileC:    reg.Counter("capnn_serve_compile_total", "Finished mask-entry compile attempts."),
-		compileErrC: reg.Counter("capnn_serve_compile_errors_total", "Compile attempts that failed (entry serves masked permanently)."),
+		compileC:    reg.Counter("capnn_serve_compile_total", "Mask-entry compile attempts (one per entry built)."),
+		compileErrC: reg.Counter("capnn_serve_compile_errors_total", "Compile attempts that failed (the entry serves masked for its lifetime)."),
 		compileH:    reg.Histogram("capnn_serve_compile_latency_ns", "nn.Compile latency per mask entry.", metrics.LatencyBucketsNs()),
 		compDispC:   reg.Counter("capnn_serve_compiled_dispatch_total", "Personalized requests served on a compiled network."),
-		maskFbC:     reg.Counter("capnn_serve_masked_fallback_total", "Personalized requests served by masked fallback (compile pending, failed, evicted, or disabled)."),
-		compEvictC:  reg.Counter("capnn_serve_compiled_evictions_total", "Compiled forms dropped by the byte budget (masks stay cached)."),
+		maskFbC:     reg.Counter("capnn_serve_masked_fallback_total", "Personalized requests served by masked inference because their entry's compile failed."),
 
 		batchSizes: map[int]uint64{},
 	}
@@ -353,7 +350,6 @@ func (st *stats) snapshot(cacheEntries, queueDepth int) Stats {
 		CompileNs:          int64(st.compileH.Sum()),
 		CompiledDispatched: st.compDispC.Value(),
 		MaskedFallback:     st.maskFbC.Value(),
-		CompiledEvictions:  st.compEvictC.Value(),
 
 		HandoffExported: st.handoffExpC.Value(),
 		HandoffImported: st.handoffImpC.Value(),
@@ -435,7 +431,7 @@ func (st *stats) flushed(size int, queueWait []time.Duration, forward time.Durat
 	st.mu.Unlock()
 }
 
-// compiled records one finished compile attempt and its latency.
+// compiled records one compile attempt and its latency.
 func (st *stats) compiled(d time.Duration, err error) {
 	st.compileC.Inc()
 	st.compileH.Observe(float64(d))
@@ -446,7 +442,6 @@ func (st *stats) compiled(d time.Duration, err error) {
 
 func (st *stats) compiledDispatched(n int) { st.compDispC.Add(uint64(n)) }
 func (st *stats) maskedFallback(n int)     { st.maskFbC.Add(uint64(n)) }
-func (st *stats) compiledEvicted()         { st.compEvictC.Inc() }
 
 func (st *stats) handoffExported(n int) { st.handoffExpC.Add(uint64(n)) }
 func (st *stats) handoffImported(n int) { st.handoffImpC.Add(uint64(n)) }
